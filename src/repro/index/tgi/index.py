@@ -147,6 +147,26 @@ def _degraded_pids(keys, values) -> Set[int]:
     return {key[3] for key in missing}
 
 
+def _plans_by_pid(
+    pids: Set[int],
+    path_groups: List[List[DeltaKey]],
+    ekeys: List[DeltaKey],
+) -> Dict[int, Tuple[List[List[DeltaKey]], List[DeltaKey]]]:
+    """Split a multi-partition ``(path_groups, ekeys)`` plan into one
+    plan per partition — the same keys, in the same order, that
+    ``_snapshot_plan(pids={pid})`` yields (every key's last field is its
+    pid)."""
+    plans: Dict[int, Tuple[List[List[DeltaKey]], List[DeltaKey]]] = {
+        pid: ([[] for _ in path_groups], []) for pid in pids
+    }
+    for i, group in enumerate(path_groups):
+        for key in group:
+            plans[key[3]][0][i].append(key)
+    for key in ekeys:
+        plans[key[3]][1].append(key)
+    return plans
+
+
 def _missing_chain(node) -> None:
     """A node's version-chain row was dropped by a degraded fetch:
     record it (inside a partial scope) or raise typed."""
@@ -669,10 +689,11 @@ class TGI(HistoricalGraphIndex):
         """Nodes covered by ``pids``: primary members, plus each
         partition's replicated boundary neighbors when auxiliaries are
         stored."""
-        scope = {n for n, p in span.node_pid.items() if p in pids}
-        if include_aux:
-            for pid in pids:
-                scope |= set(span.boundary.get(pid, frozenset()))
+        scope: Set[NodeId] = set()
+        for pid in pids:
+            scope |= span.members_of(pid)
+            if include_aux:
+                scope |= span.boundary.get(pid, frozenset())
         return scope
 
     def _replay_pid_state(
@@ -727,21 +748,6 @@ class TGI(HistoricalGraphIndex):
                 t=t,
             )
 
-    def _replay_pid(
-        self,
-        span: TimespanInfo,
-        pid: int,
-        t: TimePoint,
-        include_aux: bool,
-        values: Dict[DeltaKey, object],
-        plan: Optional[Tuple[List[List[DeltaKey]], List[DeltaKey]]] = None,
-    ) -> PartialState:
-        """Replay one partition's state at ``t`` from fetched rows and
-        admit it as a materialized-state checkpoint."""
-        state = self._replay_pid_state(span, pid, t, include_aux, values, plan)
-        self._admit_state(span, pid, t, include_aux, state)
-        return state
-
     def _replay_pids(
         self,
         span: TimespanInfo,
@@ -753,6 +759,7 @@ class TGI(HistoricalGraphIndex):
         plans: Optional[
             Dict[int, Tuple[List[List[DeltaKey]], List[DeltaKey]]]
         ] = None,
+        states: Optional[Dict[Tuple, PartialState]] = None,
     ) -> List[Tuple[int, PartialState]]:
         """Replay all cold and near-seeded partitions of one fetch round.
 
@@ -761,10 +768,21 @@ class TGI(HistoricalGraphIndex):
         ``PartialState`` from read-only fetched rows); states are then
         admitted and returned in the serial order — cold partitions
         sorted by pid, then near-seeded ones — so merge results and
-        checkpoint contents are bit-identical to ``apply_workers=1``."""
+        checkpoint contents are bit-identical to ``apply_workers=1``.
+
+        ``states`` maps :func:`_state_key` to states already replayed in
+        the same batch: a partition found there is reused instead of
+        replayed and admitted again, and each fresh replay is stored
+        there.  The returned states are shared, so callers only read
+        them.  A degraded partition (``None`` replay) is never stored,
+        so every caller that reaches it sees the drop."""
         pids = sorted(cold) + sorted(near)
         if not pids:
             return []
+        if states is None:
+            states = {}
+        keys = {pid: _state_key(span.tsid, pid, t, include_aux) for pid in pids}
+        todo = [pid for pid in pids if keys[pid] not in states]
 
         def replay(pid: int) -> Optional[PartialState]:
             entry = near.get(pid)
@@ -792,26 +810,27 @@ class TGI(HistoricalGraphIndex):
             finally:
                 sub.end()
 
-        if self.config.apply_workers > 1 and len(pids) > 1:
+        if self.config.apply_workers > 1 and len(todo) > 1:
             # worker threads do not inherit this thread's contextvars, so
             # each task runs in a fresh copy of the caller's context —
             # the degraded-mode collector (and any cancel scope checked
             # downstream) stays visible on the pool
             import contextvars as _cv
 
-            tasks = [(pid, _cv.copy_context()) for pid in pids]
-            states = list(
+            tasks = [(pid, _cv.copy_context()) for pid in todo]
+            fresh = list(
                 self._pool().map(lambda pc: pc[1].run(compute, pc[0]), tasks)
             )
         else:
-            states = [compute(pid) for pid in pids]
-        out: List[Tuple[int, PartialState]] = []
-        for pid, state in zip(pids, states):
+            fresh = [compute(pid) for pid in todo]
+        for pid, state in zip(todo, fresh):
             if state is None:
                 continue  # degraded: whole partition dropped
             self._admit_state(span, pid, t, include_aux, state)
-            out.append((pid, state))
-        return out
+            states[keys[pid]] = state
+        return [
+            (pid, states[keys[pid]]) for pid in pids if keys[pid] in states
+        ]
 
     # ------------------------------------------------------------------
     # nearest-in-time checkpoint seeding
@@ -966,25 +985,6 @@ class TGI(HistoricalGraphIndex):
         )
         return state
 
-    def _replay_pid_from_seed(
-        self,
-        span: TimespanInfo,
-        pid: int,
-        t: TimePoint,
-        include_aux: bool,
-        payload: StatePayload,
-        t0: TimePoint,
-        gap_keys: Sequence[DeltaKey],
-        values: Dict[DeltaKey, object],
-    ) -> Optional[PartialState]:
-        """:meth:`_seed_state` plus checkpoint admission of the result."""
-        state = self._seed_state(
-            span, pid, t, include_aux, payload, t0, gap_keys, values
-        )
-        if state is not None:
-            self._admit_state(span, pid, t, include_aux, state)
-        return state
-
     @staticmethod
     def _merge_state(
         target: PartialState, nodes: Dict[NodeId, StaticNode],
@@ -1009,67 +1009,48 @@ class TGI(HistoricalGraphIndex):
         ``pids`` (members plus boundary when ``include_aux``).  Returns the
         partial state, the covered scope, and the fetch stats.
 
-        With checkpoints enabled, warm partitions are seeded from their
-        memoized states and only the cold ones are fetched and replayed
-        (then admitted); replay is per partition, which is exact because
-        each partition's eventlists carry every event touching it."""
+        Replay is per partition (:meth:`_replay_pids`), which is exact
+        because each partition's eventlists carry every event touching
+        it.  With checkpoints enabled, warm partitions are seeded from
+        their memoized states and only the cold ones are fetched and
+        replayed (then admitted)."""
         scope = self._pid_scope(span, pids, include_aux)
-        if self.checkpoints is None:
-            plan = FetchPlan(f"load_pids({sorted(pids)}, t={t})")
-            stage, path_groups, ekeys = self._snapshot_stage(
-                span, t, "partial-state", pids=pids, include_aux=include_aux
-            )
-            plan.stages.append(stage)
-            result = self.executor.execute(plan, clients=clients)
-            values, stats = result.values, result.stats
-            bad = _degraded_pids(
-                [key for group in path_groups for key in group]
-                + list(ekeys),
-                values,
-            )
-            state = PartialState(scope=scope)
-            for group in path_groups:
-                for key in group:
-                    if key[3] in bad:
-                        continue
-                    state.load_delta(values[key])
-            state.apply_eventlists(
-                [values[key] for key in ekeys if key[3] not in bad], until=t
-            )
-            return state, scope, stats
-
         state = PartialState(scope=scope)
         hits = 0
-        cold: Set[int] = set()
+        cold: Set[int] = set(pids)
         # pid -> (state payload at t0, t0, gap eventlist keys)
         near: Dict[int, Tuple[StatePayload, TimePoint, List[DeltaKey]]] = {}
-        for pid in sorted(pids):
-            payload = self.checkpoints.lookup(
-                _state_key(span.tsid, pid, t, include_aux)
-            )
-            if payload is not None:
-                hits += 1
-                self._merge_state(state, *payload)
-                continue
-            captured = self._capture_near_seed(span, pid, t, include_aux)
-            if captured is not None:
-                near[pid] = captured
-            else:
-                cold.add(pid)
+        if self.checkpoints is not None:
+            cold = set()
+            for pid in sorted(pids):
+                payload = self.checkpoints.lookup(
+                    _state_key(span.tsid, pid, t, include_aux)
+                )
+                if payload is not None:
+                    hits += 1
+                    self._merge_state(state, *payload)
+                    continue
+                captured = self._capture_near_seed(span, pid, t, include_aux)
+                if captured is not None:
+                    near[pid] = captured
+                else:
+                    cold.add(pid)
         plan = FetchPlan(f"load_pids({sorted(cold)}, t={t})")
-        stage, _path_groups, _ekeys = self._snapshot_stage(
+        stage, path_groups, ekeys = self._snapshot_stage(
             span, t, "partial-state", pids=cold, include_aux=include_aux
         )
         plan.stages.append(self._with_gap_group(stage, near))
         result = self.executor.execute(plan, clients=clients)
         for _pid, replayed in self._replay_pids(
-            span, cold, near, t, include_aux, result.values
+            span, cold, near, t, include_aux, result.values,
+            plans=_plans_by_pid(cold, path_groups, ekeys),
         ):
             self._merge_state(state, replayed.nodes, replayed.edge_attrs)
         stats = result.stats
-        stats.checkpoint_hits += hits
-        stats.checkpoint_misses += len(cold)
-        stats.checkpoint_near_hits += len(near)
+        if self.checkpoints is not None:
+            stats.checkpoint_hits += hits
+            stats.checkpoint_misses += len(cold)
+            stats.checkpoint_near_hits += len(near)
         return state, scope, stats
 
     # ------------------------------------------------------------------
@@ -1428,7 +1409,11 @@ class TGI(HistoricalGraphIndex):
         return out
 
     def _khops_plan(
-        self, centers: Sequence[NodeId], t: TimePoint, k: int
+        self,
+        centers: Sequence[NodeId],
+        t: TimePoint,
+        k: int,
+        states: Optional[Dict[Tuple, PartialState]] = None,
     ) -> Tuple[
         FetchPlan,
         "Callable[[Dict[DeltaKey, object]], List[Optional[Graph]]]",
@@ -1443,7 +1428,16 @@ class TGI(HistoricalGraphIndex):
         with the union of the still-missing micro-partition keys across
         all centers.  Checkpointed partitions are seeded directly into the
         merged state and never reach the plan; the returned counter dict
-        records those hits (and the cold misses) for the caller's stats."""
+        records those hits (and the cold misses) for the caller's stats.
+
+        Fetched partitions are replayed one state per partition
+        (:meth:`_replay_pids`).  ``states`` is the batch-scoped state map
+        a batched session passes to every member's plan: a partition
+        state one member replayed is merged read-only by the others
+        instead of being rebuilt.  Without it the map is private to this
+        plan."""
+        if states is None:
+            states = {}
         span = self._span_at(t)
         include_aux = self.config.replicate_boundary
         order = list(dict.fromkeys(centers))
@@ -1454,14 +1448,12 @@ class TGI(HistoricalGraphIndex):
         merged = PartialState()
         covered: Set[NodeId] = set()
         loaded: Set[int] = set()
-        # partitions fetched but not yet folded into `merged`: the
-        # stage's combined (path_groups, ekeys) — or (None, None) in
-        # checkpoint mode, where settle replays per partition — plus the
-        # fetched pid set, its covered scope, and the stage's
-        # nearest-checkpoint seedings (pid -> payload at t0, t0, gap keys)
+        # partitions fetched but not yet folded into `merged`: the cold
+        # pids with their per-partition (path_groups, ekeys) plans, and
+        # the stage's nearest-checkpoint seedings (pid -> payload at t0,
+        # t0, gap keys)
         pending: List[Tuple[
-            Optional[List[List[DeltaKey]]], Optional[List[DeltaKey]],
-            Set[int], Set[NodeId],
+            Dict[int, Tuple[List[List[DeltaKey]], List[DeltaKey]]],
             Dict[int, Tuple[StatePayload, TimePoint, List[DeltaKey]]],
         ]] = []
         members: Dict[NodeId, Set[NodeId]] = {}
@@ -1521,55 +1513,29 @@ class TGI(HistoricalGraphIndex):
             stage = self._with_gap_group(stage, near)
             loaded.update(pids)
             loaded.update(near)
-            if self.checkpoints is not None:
-                path_groups, ekeys = None, None
-            pending.append(
-                (path_groups, ekeys, set(pids),
-                 self._pid_scope(span, set(pids) | set(near), include_aux),
-                 near)
-            )
+            pending.append((_plans_by_pid(pids, path_groups, ekeys), near))
             return stage
 
         def settle(values: Dict[DeltaKey, object]) -> None:
             """Fold fetched rows into the merged state, then resolve which
             of the last hop's candidates are alive at ``t``."""
             while pending:
-                path_groups, ekeys, pids, scope, near = pending.pop(0)
-                if path_groups is None:
-                    # checkpoint mode: per-partition replay (on the apply
-                    # pool when configured), so each cold partition's
-                    # state is admitted as a checkpoint and near-seeded
-                    # partitions advance from their earlier checkpoint
-                    # over just the gap eventlists
-                    replayed = self._replay_pids(
-                        span, pids, near, t, include_aux, values
-                    )
-                    for _pid, state in replayed:
-                        self._merge_state(
-                            merged, state.nodes, state.edge_attrs
-                        )
-                    survivors = {pid for pid, _state in replayed}
-                    for pid in (pids | set(near)) - survivors:
-                        dropped.add(f"ts{span.tsid}:p{pid}")
-                    covered.update(scope)
-                    continue
-                stage_keys = [k for g in path_groups for k in g]
-                stage_keys.extend(ekeys)
-                bad = _degraded_pids(stage_keys, values)
-                for pid in bad:
-                    dropped.add(f"ts{span.tsid}:p{pid}")
-                state = PartialState(scope=scope)
-                for group in path_groups:
-                    for key in group:
-                        if key[3] in bad:
-                            continue
-                        state.load_delta(values[key])
-                state.apply_eventlists(
-                    [values[key] for key in ekeys if key[3] not in bad],
-                    until=t,
+                plans, near = pending.pop(0)
+                # per-partition replay (on the apply pool when
+                # configured): each cold partition's state is admitted
+                # as a checkpoint, near-seeded partitions advance from
+                # their earlier checkpoint over just the gap eventlists,
+                # and states a batchmate already replayed are reused
+                replayed = self._replay_pids(
+                    span, set(plans), near, t, include_aux, values,
+                    plans=plans, states=states,
                 )
-                covered.update(scope)
-                self._merge_state(merged, state.nodes, state.edge_attrs)
+                for _pid, state in replayed:
+                    self._merge_state(merged, state.nodes, state.edge_attrs)
+                fetched = set(plans) | set(near)
+                for pid in fetched - {pid for pid, _state in replayed}:
+                    dropped.add(f"ts{span.tsid}:p{pid}")
+                covered.update(self._pid_scope(span, fetched, include_aux))
             if not started[0]:
                 started[0] = True
                 for c in alive0:
@@ -1627,6 +1593,16 @@ class TGI(HistoricalGraphIndex):
                     )
                 for label in labels:
                     collector.add_partition(label)
+                if len(order) == 1 and order[0] in alive0:
+                    # a lone center whose own partition was dropped is an
+                    # availability failure, not a dead node (as get_khop)
+                    label = f"ts{span.tsid}:p{span.pid_of(order[0])}"
+                    if order[0] not in members and label in dropped:
+                        raise PartitionUnavailable(
+                            f"partition of node {order[0]} unavailable "
+                            f"at t={t}",
+                            partitions=(label,),
+                        )
             graphs = {
                 c: merged.to_graph(members[c]) for c in members
             }

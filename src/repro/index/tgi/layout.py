@@ -20,6 +20,7 @@ them at the discounted continuation cost (Sec. 4.4 item 5).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
@@ -40,10 +41,12 @@ TAG_AUX_EVENTLIST = "F"
 TAG_VERSION_CHAIN = "V"
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def sid_of_pid(pid: int, placement_groups: int) -> int:
     """Placement group of a micro-partition: micro-deltas (not nodes) are
     what gets spread over placement groups, so locality-close nodes that
-    share a pid also share a placement."""
+    share a pid also share a placement.  Memoized: it is a pure function
+    of its arguments, and every plan and key builder calls it per pid."""
     return hash_partition(pid, placement_groups, salt=17)
 
 
@@ -92,8 +95,29 @@ class TimespanInfo:
     aux_eventlist_pids: Dict[int, List[int]] = field(default_factory=dict)
     boundary: Dict[int, FrozenSet[NodeId]] = field(default_factory=dict)
 
+    def __getstate__(self):
+        # the pid -> members index is derived data: rebuilt on first use
+        state = dict(self.__dict__)
+        state.pop("_members", None)
+        return state
+
     def pid_of(self, node: NodeId) -> Optional[int]:
         return self.node_pid.get(node)
+
+    def members_of(self, pid: int) -> FrozenSet[NodeId]:
+        """Primary members of a partition, from a pid -> members index
+        built once per span (rebuilt if ``node_pid`` grows)."""
+        cached = self.__dict__.get("_members")
+        if cached is None or cached[0] != len(self.node_pid):
+            index: Dict[int, Set[NodeId]] = {}
+            for n, p in self.node_pid.items():
+                index.setdefault(p, set()).add(n)
+            cached = (
+                len(self.node_pid),
+                {p: frozenset(ns) for p, ns in index.items()},
+            )
+            self._members = cached
+        return cached[1].get(pid, frozenset())
 
     def leaf_at(self, t: TimePoint) -> int:
         """Largest checkpoint index with ``checkpoints[i] <= t``."""
@@ -113,8 +137,3 @@ class TimespanInfo:
             else:
                 break
         return out
-
-    def scope_of(self, pid: int) -> Set[NodeId]:
-        """Primary members plus replicated boundary of a partition."""
-        members = {n for n, p in self.node_pid.items() if p == pid}
-        return members | set(self.boundary.get(pid, frozenset()))

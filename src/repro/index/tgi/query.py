@@ -73,13 +73,15 @@ class PartialState:
         trace = current_span()
         if trace is not None:
             trace.inc("deltas_loaded", 1)
+        nodes = self.nodes  # freezes pending accumulators once
+        edges = self.edge_attrs
+        scope = self.scope
         for comp in delta:
             if isinstance(comp, StaticNode):
-                if self._in_scope(comp.I):
-                    self.nodes[comp.I] = comp
-            else:
-                if self._in_scope(comp.u) or self._in_scope(comp.v):
-                    self.edge_attrs[(comp.u, comp.v)] = comp.attrs
+                if scope is None or comp.I in scope:
+                    nodes[comp.I] = comp
+            elif scope is None or comp.u in scope or comp.v in scope:
+                edges[(comp.u, comp.v)] = comp.attrs
 
     # -- applying events ----------------------------------------------------
     def apply_event(self, ev: Event) -> None:
@@ -177,16 +179,35 @@ class PartialState:
         return self.nodes.get(node)
 
     def to_graph(self, members: Iterable[NodeId], directed: bool = False) -> Graph:
-        """Induced graph on ``members`` using the reconstructed states."""
-        keep = {n for n in members if n in self.nodes}
+        """Induced graph on ``members`` using the reconstructed states.
+
+        Fills the graph's adjacency and edge maps directly (the result
+        equals the ``add_node`` / ``add_edge`` build, insertion order
+        included).  Edge attributes are always looked up under the
+        undirected id; a directed result gets both ``(n, nbr)`` and
+        ``(nbr, n)`` for every stored neighbor pair."""
+        nodes = self.nodes
+        keep = {n for n in members if n in nodes}
         g = Graph(directed=directed)
+        g_nodes, adj, g_edges = g._nodes, g._adj, g._edge_attrs
         for n in keep:
-            g.add_node(n, self.nodes[n].attrs)
+            g_nodes[n] = dict(nodes[n].A)
+            adj[n] = set()
+        stored = self.edge_attrs
         for n in keep:
-            for nbr in self.nodes[n].E:
-                if nbr in keep and not g.has_edge(n, nbr):
-                    eid = canonical_edge(n, nbr)
-                    g.add_edge(n, nbr, self.edge_attrs.get(eid))
+            out = adj[n]
+            for nbr in nodes[n].E:
+                if nbr not in keep:
+                    continue
+                eid = (n, nbr) if n <= nbr else (nbr, n)
+                gid = (n, nbr) if directed else eid
+                if gid in g_edges:
+                    continue
+                attrs = stored.get(eid)
+                g_edges[gid] = dict(attrs) if attrs else {}
+                out.add(nbr)
+                if not directed:
+                    adj[nbr].add(n)
         return g
 
 

@@ -940,6 +940,9 @@ class GraphSession:
                 for request, deadline in zip(requests, deadlines)
             ]
         shared: Set = set()
+        # batch-scoped partition states: every k-hop member replays a
+        # shared partition from this one map instead of rebuilding it
+        states: Dict = {}
         specs: List[Optional[_BatchSpec]] = []
         plans: List[Any] = []
         errors: List[Optional[QueryResult]] = [None] * len(requests)
@@ -954,7 +957,7 @@ class GraphSession:
                 specs.append(None)
                 continue
             try:
-                spec = self._plan_batched(request, shared)
+                spec = self._plan_batched(request, shared, states)
             except Exception as exc:
                 if not capture_errors:
                     raise
@@ -1116,13 +1119,15 @@ class GraphSession:
         return out
 
     def _plan_batched(
-        self, request: QueryRequest, shared: Set
+        self, request: QueryRequest, shared: Set, states: Dict
     ) -> Optional[_BatchSpec]:
         """Compile one request into exec plan(s) plus a reassembly
         recipe, pricing candidates with the shared-context discount and
         folding the chosen plan's pricing keys into ``shared`` for the
-        batch members planned after it.  Returns ``None`` for kinds the
-        batched path cannot compose (``khop_history``)."""
+        batch members planned after it.  ``states`` is the batch's
+        partition-state map, handed to every k-hop plan so each unique
+        partition state is replayed once per batch.  Returns ``None``
+        for kinds the batched path cannot compose (``khop_history``)."""
         tgi = self.tgi
         if request.kind == "khop_history":
             return None
@@ -1155,7 +1160,9 @@ class GraphSession:
                 plans, finalizes, ckpts = [], [], []
                 order = list(dict.fromkeys(nodes))
                 for center in order:
-                    plan, fin, ckpt = tgi._khops_plan([center], t, k)
+                    plan, fin, ckpt = tgi._khops_plan(
+                        [center], t, k, states=states
+                    )
                     plans.append(plan)
                     finalizes.append(fin)
                     ckpts.append(ckpt)
@@ -1166,7 +1173,9 @@ class GraphSession:
             else:  # shared-frontier Algorithm 4 (or a forced per-center
                 #    on a single center, which is the same loop)
                 chosen = ALGO_KHOP
-                plan, fin, ckpt = tgi._khops_plan(nodes, t, k)
+                plan, fin, ckpt = tgi._khops_plan(
+                    nodes, t, k, states=states
+                )
                 plans, finalizes, ckpts = [plan], [fin], [ckpt]
 
                 def assemble(outs, nodes=nodes, single=request.single):

@@ -29,6 +29,7 @@ three consumers:
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -128,6 +129,12 @@ class TimespanStats:
             return 0.0
         return sum(p.degree_sum for p in self.partitions.values()) / self.nodes
 
+    def __getstate__(self):
+        # the expected_khop_pids memo is derived data: never persisted
+        state = dict(self.__dict__)
+        state.pop("_khop_memo", None)
+        return state
+
     def adjacent(self, pid: int) -> Dict[int, int]:
         """Partitions sharing a collapsed cut edge with ``pid``."""
         return self.cut_weights.get(pid, {})
@@ -211,6 +218,12 @@ class KhopEstimate:
     candidates: int
 
 
+#: Memoized estimates kept per :class:`TimespanStats` before the memo
+#: is dropped and refilled (the learned margin is part of the key, so a
+#: long-running index keeps producing new keys).
+_KHOP_MEMO_LIMIT = 4096
+
+
 def expected_khop_pids(
     span: TimespanStats,
     pid0: int,
@@ -232,11 +245,23 @@ def expected_khop_pids(
     ``pid0`` by boundary-cut weight to the already-selected set, so the
     expectation lands on the partitions a traversal is actually likely
     to enter.
+
+    The estimate is a pure function of its arguments, so it is memoized
+    on ``span`` per ``(pid0, k, margin, candidates)``; pricing asks for
+    the same estimate several times per planned k-hop.
     """
     cand: List[int] = (
         sorted(candidates) if candidates is not None
         else sorted(span.reachable_pids(pid0, k))
     )
+    memo = span.__dict__.get("_khop_memo")
+    if memo is None:
+        memo = {}
+        object.__setattr__(span, "_khop_memo", memo)
+    key = (pid0, k, margin, tuple(cand))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     if pid0 not in cand:
         cand.append(pid0)
     total_nodes = max(1, span.nodes)
@@ -264,28 +289,46 @@ def expected_khop_pids(
 
     chosen: List[int] = [pid0]
     chosen_set: Set[int] = {pid0}
+    cand_set = set(cand)
     # connectivity of every candidate to the growing selection
     weight: Dict[int, int] = {}
     for other, w in span.adjacent(pid0).items():
-        if other in cand:
+        if other in cand_set:
             weight[other] = weight.get(other, 0) + w
-    remaining = [pid for pid in cand if pid != pid0]
-    while len(chosen) < count and remaining:
-        remaining.sort(
-            key=lambda pid: (
-                -weight.get(pid, 0),
-                -(span.partitions[pid].nodes
-                  if pid in span.partitions else 0),
-                pid,
-            )
-        )
-        pick = remaining.pop(0)
+    # greedy pick by (-weight, -size, pid) from a lazy max-heap: weights
+    # only grow, so an entry whose weight no longer matches is stale
+    left: Dict[int, int] = {}
+    for pid in cand:
+        if pid != pid0:
+            left[pid] = left.get(pid, 0) + 1
+    size_of = {
+        pid: (span.partitions[pid].nodes if pid in span.partitions else 0)
+        for pid in left
+    }
+    heap = [(-weight.get(pid, 0), -size_of[pid], pid) for pid in left]
+    heapq.heapify(heap)
+    while len(chosen) < count and heap:
+        entry = heapq.heappop(heap)
+        pick = entry[2]
+        if not left[pick] or -entry[0] != weight.get(pick, 0):
+            continue
         chosen.append(pick)
         chosen_set.add(pick)
+        left[pick] -= 1
+        if left[pick]:
+            heapq.heappush(heap, entry)  # a duplicate candidate
         for other, w in span.adjacent(pick).items():
-            if other in cand and other not in chosen_set:
+            if other in cand_set and other not in chosen_set:
                 weight[other] = weight.get(other, 0) + w
-    return KhopEstimate(tuple(chosen), reached, len(cand))
+                if left.get(other):
+                    heapq.heappush(
+                        heap, (-weight[other], -size_of[other], other)
+                    )
+    est = KhopEstimate(tuple(chosen), reached, len(cand))
+    if len(memo) >= _KHOP_MEMO_LIMIT:
+        memo.clear()
+    memo[key] = est
+    return est
 
 
 def prefer_near_seed(

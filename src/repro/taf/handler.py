@@ -47,7 +47,11 @@ class ParallelFetchStats:
     avoids a master bottleneck, Fig. 10).  When the partitions' plans ran
     *pipelined* on one shared execution timeline, ``pipelined_ms`` carries
     the timeline makespan and overrides the LPT schedule (the per-plan
-    completion times in ``partition_sim_ms`` already overlap)."""
+    completion times in ``partition_sim_ms`` already overlap).
+
+    The resilience counters (``retries``, ``hedges``, ``breaker_trips``,
+    ``backoff_ms``, ``degraded_*``) fold every partition's fetch, so a
+    TAF fetch on a resilient cluster reports them like a query does."""
 
     partition_sim_ms: List[float] = field(default_factory=list)
     num_workers: int = 1
@@ -66,6 +70,12 @@ class ParallelFetchStats:
     coalesced_hits: int = 0
     coalesced_bytes_saved: int = 0
     merged_rounds: int = 0
+    retries: int = 0
+    hedges: int = 0
+    breaker_trips: int = 0
+    backoff_ms: float = 0.0
+    degraded_keys: int = 0
+    degraded_partitions: List[str] = field(default_factory=list)
     pipelined_ms: Optional[float] = None
 
     @property
@@ -91,6 +101,19 @@ class ParallelFetchStats:
         self.coalesced_hits += fetch.coalesced_hits
         self.coalesced_bytes_saved += fetch.coalesced_bytes_saved
         self.merged_rounds += fetch.merged_rounds
+        self.fold_resilience(fetch)
+
+    def fold_resilience(self, fetch) -> None:
+        """Fold one partition's resilience counters (from a
+        :class:`FetchStats` or another :class:`ParallelFetchStats`)."""
+        self.retries += fetch.retries
+        self.hedges += fetch.hedges
+        self.breaker_trips += fetch.breaker_trips
+        self.backoff_ms += fetch.backoff_ms
+        self.degraded_keys += fetch.degraded_keys
+        for label in fetch.degraded_partitions:
+            if label not in self.degraded_partitions:
+                self.degraded_partitions.append(label)
 
 
 class TGIHandler:
@@ -323,6 +346,7 @@ class TGIHandler:
                 total.checkpoint_hits += fetch.checkpoint_hits
                 total.checkpoint_misses += fetch.checkpoint_misses
                 total.checkpoint_near_hits += fetch.checkpoint_near_hits
+                total.fold_resilience(fetch)
                 if sg is not None:
                     out.append(sg)
             total.partition_sim_ms.append(sim_ms)

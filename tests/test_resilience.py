@@ -597,3 +597,42 @@ def test_resilience_stats_flow_to_query_stats(tgi, tmax):
         cluster.disable_resilience()
         clear_faults(cluster)
         cluster.set_clock(0.0)
+
+
+def test_taf_fetch_resilience_counters_reach_query_stats(tgi, tmax):
+    from repro.api import QueryStats
+    from repro.spark.rdd import SparkContext
+    from repro.taf.handler import TGIHandler
+
+    handler = TGIHandler(tgi, SparkContext(num_workers=2))
+    cluster = tgi.cluster
+    nodes = list(range(1, 41))
+    baseline = handler.fetch_node_histories(nodes, 1, tmax)
+    inject_faults(cluster, FaultSchedule(
+        transient=(TransientFaults(1, probability=0.7),), seed=21,
+    ))
+    cluster.enable_resilience(ResiliencePolicy(seed=21, hedge=False))
+    try:
+        son_retries = 0
+        sots_retries = 0
+        for i in range(4):
+            cluster.set_clock(i * 10.0)
+            got = handler.fetch_node_histories(nodes, 1, tmax)
+            assert [nt.history for nt in got] == [
+                nt.history for nt in baseline
+            ]
+            fetch = handler.last_fetch_stats
+            stats = QueryStats.from_fetch(fetch)
+            assert stats.retries == fetch.retries
+            assert stats.backoff_ms == fetch.backoff_ms
+            son_retries += stats.retries
+            handler.fetch_subgraphs([1, 3, 5], 1, 1, tmax)
+            sots_retries += QueryStats.from_fetch(
+                handler.last_fetch_stats
+            ).retries
+        assert son_retries > 0
+        assert sots_retries > 0
+    finally:
+        cluster.disable_resilience()
+        clear_faults(cluster)
+        cluster.set_clock(0.0)

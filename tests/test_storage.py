@@ -89,3 +89,66 @@ def test_load_rejects_future_format(tmp_path):
 def test_load_missing_file(tmp_path):
     with pytest.raises(PersistenceError):
         load_index(tmp_path / "missing.hgs")
+
+
+def test_load_rejects_format_8_pickled_envelope(tmp_path):
+    import pickle
+
+    path = tmp_path / "v8.hgs"
+    path.write_bytes(pickle.dumps({"magic": "hgs-index", "format": 8,
+                                   "class": "TGI", "index": None}))
+    with pytest.raises(PersistenceError, match="format 8"):
+        load_index(path)
+
+
+def test_load_wraps_unpickling_errors(tmp_path):
+    from repro.storage import (
+        _FORMAT_VERSION, _HEADER_MAGIC, _VERSION, _digest,
+    )
+
+    # a well-formed header whose digest matches a payload that still
+    # fails to unpickle (e.g. written by a build with a missing class)
+    payload = b"\x80\x05cno_such_module\nNoSuchClass\n."
+    version = _VERSION.pack(_FORMAT_VERSION)
+    path = tmp_path / "bad-payload.hgs"
+    path.write_bytes(
+        _HEADER_MAGIC + version + _digest(version, payload) + payload
+    )
+    with pytest.raises(PersistenceError, match="ModuleNotFoundError"):
+        load_index(path)
+
+
+def test_corrupted_index_files_fail_typed(tmp_path, events):
+    """Seeded fuzz: every truncation and every single-bit flip of a
+    saved index raises PersistenceError — never a raw exception, never
+    a silent load."""
+    import random
+
+    tgi = TGI(TGIConfig(events_per_timespan=60, eventlist_size=15,
+                        micro_partition_size=8))
+    tgi.build(events)
+    good = tmp_path / "good.hgs"
+    save_index(tgi, good)
+    data = good.read_bytes()
+    rng = random.Random(1234)
+    header = 64  # magic + version + digest, plus the payload's start
+    cases = [("truncate", n) for n in range(0, header)]
+    cases += [("truncate", rng.randrange(len(data))) for _ in range(40)]
+    cases += [("flip", pos) for pos in range(header)]
+    cases += [("flip", rng.randrange(len(data))) for _ in range(300)]
+    bad = tmp_path / "bad.hgs"
+    for kind, pos in cases:
+        if kind == "truncate":
+            blob = data[:pos]
+        else:
+            flipped = bytearray(data)
+            flipped[pos] ^= 1 << rng.randrange(8)
+            blob = bytes(flipped)
+        bad.write_bytes(blob)
+        try:
+            load_index(bad)
+        except PersistenceError:
+            continue
+        except Exception as exc:  # pragma: no cover - the failure mode
+            pytest.fail(f"{kind}@{pos}: raw {type(exc).__name__}: {exc}")
+        pytest.fail(f"{kind}@{pos}: corrupted file loaded silently")
