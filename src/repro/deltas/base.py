@@ -195,8 +195,12 @@ class Delta:
         if not isinstance(other, Delta):
             raise DeltaError(f"cannot subtract {type(other).__name__} from Delta")
         out = Delta()
+        theirs = other._components
         for key, comp in self._components.items():
-            if other._components.get(key) != comp:
+            # identity first: deltas stepped from one another share the
+            # component objects they did not touch
+            match = theirs.get(key)
+            if match is not comp and match != comp:
                 out._components[key] = comp
         return out
 
@@ -207,8 +211,10 @@ class Delta:
             (self, other) if len(self) <= len(other) else (other, self)
         )
         out = Delta()
+        theirs = large._components
         for key, comp in small._components.items():
-            if large._components.get(key) == comp:
+            match = theirs.get(key)
+            if match is comp or match == comp:
                 out._components[key] = comp
         return out
 

@@ -21,7 +21,7 @@ from repro.deltas.base import Delta, StaticEdge, StaticNode
 from repro.deltas.eventlist import EventList, split_events_into_lists
 from repro.graph.events import Event
 from repro.graph.static import Graph
-from repro.index.common import snapshot_delta_of_graph
+from repro.index.common import advance_snapshot_delta, snapshot_delta_of_graph
 from repro.index.delta_tree import build_delta_tree
 from repro.index.tgi.config import PartitioningStrategy, TGIConfig
 from repro.index.tgi.layout import (
@@ -106,9 +106,15 @@ def build_timespan(
     cluster: Cluster,
     vc_store: VersionChainStore,
     stats: Optional[GraphStatistics] = None,
-) -> TimespanInfo:
+    initial_delta: Optional[Delta] = None,
+) -> Tuple[TimespanInfo, Delta]:
     """Construct and persist one timespan; mutates ``initial`` to the state
     at the end of the span (so spans chain during a full build).
+
+    Returns the span's info and its last checkpoint's snapshot delta,
+    which is the next span's first: pass it back as ``initial_delta``
+    (the snapshot delta of ``initial``; computed from it when omitted),
+    and every checkpoint is one incremental step from the one before.
 
     When a :class:`~repro.stats.model.GraphStatistics` artifact is
     passed, the span's statistics (partition summaries, boundary-cut
@@ -167,13 +173,15 @@ def build_timespan(
     lists = split_events_into_lists(list(span_events), config.eventlist_size)
     checkpoints: List[TimePoint] = [t_start - 1]
     eventlist_ranges: List[Tuple[TimePoint, TimePoint]] = []
-    leaf_deltas: List[Delta] = [snapshot_delta_of_graph(initial)]
+    if initial_delta is None:
+        initial_delta = snapshot_delta_of_graph(initial)
+    leaf_deltas: List[Delta] = [initial_delta]
     for el in lists:
-        el = EventList(checkpoints[-1], el.te, el.events)  # align scopes
-        eventlist_ranges.append((el.ts, el.te))
-        el.apply_to(initial)
+        eventlist_ranges.append((checkpoints[-1], el.te))  # align scopes
         checkpoints.append(el.te)
-        leaf_deltas.append(snapshot_delta_of_graph(initial))
+        leaf_deltas.append(
+            advance_snapshot_delta(initial, el.events, leaf_deltas[-1])
+        )
 
     tree, stored = build_delta_tree(leaf_deltas, config.arity)
 
@@ -250,4 +258,4 @@ def build_timespan(
             key = delta_key(tsid, sid_of_pid(pid, ns), TAG_EVENTLIST, j, pid)
             vc_store.record(node, lo, hi, key)
 
-    return info
+    return info, leaf_deltas[-1]

@@ -57,7 +57,7 @@ from repro.exec import (
     PlanExecutor,
     StateCheckpointCache,
 )
-from repro.graph.events import Event
+from repro.graph.events import Event, check_sorted
 from repro.graph.static import Graph
 from repro.index.interface import HistoricalGraphIndex, NodeHistory
 from repro.index.tgi.build import build_timespan
@@ -220,6 +220,10 @@ class TGI(HistoricalGraphIndex):
         self._t_max: Optional[TimePoint] = None
         self._apply_pool = None  # lazy ThreadPoolExecutor (apply_workers > 1)
         self._pool_lock = threading.Lock()
+        #: snapshot delta of ``_running`` (the last checkpoint written),
+        #: so the next update steps from it instead of re-snapshotting
+        #: the whole graph; transient, rebuilt from ``_running`` if absent
+        self._last_leaf: Optional[Delta] = None
         #: Learned occupancy corrections for the k-hop frontier model,
         #: keyed by k: EWMA of observed/predicted touched-partition
         #: ratios, folded into ``expected_khop_pids``' margin (fixes the
@@ -247,15 +251,18 @@ class TGI(HistoricalGraphIndex):
     def __getstate__(self):
         # thread pools and locks don't pickle (save_index serializes
         # whole indexes); drop both — the pool is recreated lazily on
-        # the next parallel replay
+        # the next parallel replay — and the last leaf, which the next
+        # update rebuilds from ``_running``
         state = dict(self.__dict__)
         state["_apply_pool"] = None
         state["_pool_lock"] = None
+        state["_last_leaf"] = None
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._pool_lock = threading.Lock()
+        self._last_leaf = None
 
     # ------------------------------------------------------------------
     # learned frontier-occupancy corrections
@@ -332,6 +339,7 @@ class TGI(HistoricalGraphIndex):
             raise IndexError_("index already built; use update() to append")
         if not events:
             raise TimeRangeError("cannot build an index over an empty history")
+        check_sorted(events)
         self._append_spans(events)
         self._t_min = events[0].time
         # measure the machine's actual decode/replay constants against
@@ -344,23 +352,30 @@ class TGI(HistoricalGraphIndex):
         batches of timespan length and merged as new timespans)."""
         if not events:
             return
+        # validate the whole batch before any span is written: a batch
+        # rejected halfway would leave spans, ``_running`` and the
+        # statistics ahead of ``_t_max``
         if self._t_max is not None and events[0].time <= self._t_max:
             raise IndexError_(
                 f"update events must come after t={self._t_max}"
             )
+        check_sorted(events)
         self._append_spans(events)
         if self._t_min is None:
             self._t_min = events[0].time
 
     def _append_spans(self, events: Sequence[Event]) -> None:
         spans = timespan_boundaries(events, self.config.events_per_timespan)
+        # cleared while spans are written: a failure part-way leaves
+        # ``_running`` ahead of the leaf, which is then rebuilt from it
+        leaf, self._last_leaf = self._last_leaf, None
         cursor = 0
         for (t_start, t_end) in spans:
             span_events = []
             while cursor < len(events) and events[cursor].time < t_end:
                 span_events.append(events[cursor])
                 cursor += 1
-            info = build_timespan(
+            info, leaf = build_timespan(
                 len(self._spans),
                 self._running,
                 span_events,
@@ -370,8 +385,10 @@ class TGI(HistoricalGraphIndex):
                 self.cluster,
                 self._vc,
                 stats=self.stats,
+                initial_delta=leaf,
             )
             self._spans.append(info)
+        self._last_leaf = leaf
         changed_chains = self._vc.flush()
         self._t_max = events[-1].time
         if self.delta_cache is not None:

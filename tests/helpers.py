@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from repro.graph.events import Event, EventBuilder
+from repro.graph.events import Event, EventBuilder, EventKind
 from repro.graph.static import Graph
 from repro.index.interface import evolve_node_state
 from repro.types import NodeId, TimePoint, canonical_edge
@@ -54,6 +54,30 @@ def random_history(
         elif attr_churn and alive:
             n = rng.choice(sorted(alive))
             events.append(eb.node_attr_set(t, n, "x", rng.randint(0, 99)))
+    return events
+
+
+def churn_history(steps: int = 600, seed: int = 0, num_nodes: int = 40) -> List[Event]:
+    """A random *lenient* event stream over a small id space: every event
+    kind at random, so nodes are deleted with live in- and out-edges,
+    re-added, and edges gain and lose attributes in place.  Three events
+    share each time point."""
+    rng = random.Random(seed)
+    events: List[Event] = []
+    for i in range(steps):
+        kind = rng.choice(list(EventKind))
+        fields = {}
+        if kind in (EventKind.EDGE_ADD, EventKind.EDGE_DELETE,
+                    EventKind.EDGE_ATTR_SET, EventKind.EDGE_ATTR_DEL):
+            fields["other"] = rng.randrange(num_nodes)
+        if kind in (EventKind.NODE_ATTR_SET, EventKind.NODE_ATTR_DEL,
+                    EventKind.EDGE_ATTR_SET, EventKind.EDGE_ATTR_DEL):
+            fields["key"] = rng.choice("ab")
+        if kind in (EventKind.NODE_ATTR_SET, EventKind.EDGE_ATTR_SET):
+            fields["value"] = rng.randrange(3)
+        if kind in (EventKind.NODE_ADD, EventKind.EDGE_ADD) and rng.random() < 0.5:
+            fields["value"] = {"w": rng.randrange(3)}
+        events.append(Event(1 + i // 3, i, kind, rng.randrange(num_nodes), **fields))
     return events
 
 

@@ -5,7 +5,9 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.deltas.base import Delta, EMPTY_DELTA, StaticEdge, StaticNode
+from repro.graph.events import Event, EventKind
 from repro.graph.static import Graph
+from repro.index.common import advance_snapshot_delta, snapshot_delta_of_graph
 from repro.index.copylog import CopyLogIndex
 from repro.index.deltagraph import DeltaGraphIndex
 from repro.index.log import LogIndex
@@ -165,3 +167,64 @@ def test_khop_invariant(params, data):
                         micro_partition_size=7))
     tgi.build(events)
     assert tgi.get_khop(node, t, k=k) == final.khop_subgraph(node, k)
+
+
+# ---------------------------------------------------------------------------
+# incremental checkpoint deltas against the whole-graph reference
+# ---------------------------------------------------------------------------
+
+_EDGE_KINDS = (EventKind.EDGE_ADD, EventKind.EDGE_DELETE,
+               EventKind.EDGE_ATTR_SET, EventKind.EDGE_ATTR_DEL)
+_ATTR_KINDS = (EventKind.NODE_ATTR_SET, EventKind.NODE_ATTR_DEL,
+               EventKind.EDGE_ATTR_SET, EventKind.EDGE_ATTR_DEL)
+
+
+@st.composite
+def lenient_eventlists(draw):
+    """Eventlists of arbitrary (lenient) events over a few node ids: node
+    deletes with live in- and out-edges, attribute set/del on nodes and
+    edges, and optionally a node or an attributed edge deleted then
+    re-added in one list (both move to the end of the graph's order)."""
+    ids = st.integers(min_value=0, max_value=6)
+    lists = []
+    seq = 0
+    for t in range(1, draw(st.integers(min_value=1, max_value=8)) + 1):
+        events = []
+        for _ in range(draw(st.integers(min_value=0, max_value=10))):
+            kind = draw(st.sampled_from(list(EventKind)))
+            fields = {}
+            if kind in _EDGE_KINDS:
+                fields["other"] = draw(ids)
+            if kind in _ATTR_KINDS:
+                fields["key"] = draw(st.sampled_from("ab"))
+                fields["value"] = draw(st.integers(0, 2))
+            elif kind in (EventKind.NODE_ADD, EventKind.EDGE_ADD):
+                fields["value"] = draw(st.none() | st.just({"w": 1}))
+            events.append(Event(t, seq, kind, draw(ids), **fields))
+            seq += 1
+        readd = draw(st.sampled_from((None, "node", "edge")))
+        if readd == "node":
+            node = draw(ids)
+            events.append(Event(t, seq, EventKind.NODE_DELETE, node))
+            events.append(Event(t, seq + 1, EventKind.NODE_ADD, node))
+            seq += 2
+        elif readd == "edge":
+            u, v = draw(ids), draw(ids)
+            events.append(Event(t, seq, EventKind.EDGE_DELETE, u, other=v))
+            events.append(Event(t, seq + 1, EventKind.EDGE_ADD, u, other=v,
+                                value={"w": 2}))
+            seq += 2
+        lists.append(events)
+    return lists
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans(), lenient_eventlists())
+def test_advance_snapshot_delta_matches_reference(directed, lists):
+    g = Graph(directed=directed)
+    delta = snapshot_delta_of_graph(g)
+    for events in lists:
+        delta = advance_snapshot_delta(g, events, delta)
+        expected = snapshot_delta_of_graph(g)
+        assert delta == expected
+        assert list(delta.keys()) == list(expected.keys())

@@ -2,11 +2,18 @@
 
 import pytest
 
-from repro.errors import IndexError_, TimeRangeError
+from repro.errors import EventError, IndexError_, TimeRangeError
 from repro.graph.static import Graph
+from repro.index.common import snapshot_delta_of_graph
 from repro.index.tgi import TGI, PartitioningStrategy, TGIConfig
+from repro.index.tgi import build as tgi_build
 from repro.kvstore.cluster import ClusterConfig
-from tests.helpers import assert_history_equivalent, random_history
+from repro.workloads.citation import CitationConfig, generate_citation_events
+from tests.helpers import (
+    assert_history_equivalent,
+    churn_history,
+    random_history,
+)
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +240,92 @@ def test_update_empty_is_noop(tgi):
     before = tgi.num_timespans
     tgi.update([])
     assert tgi.num_timespans == before
+
+
+@pytest.fixture(scope="module")
+def citation_events():
+    return generate_citation_events(CitationConfig(num_nodes=400, seed=1))
+
+
+def _swapped(events, i):
+    """``events`` with positions ``i`` and ``i + 1`` (different times)
+    exchanged, so the stream is out of order."""
+    out = list(events)
+    out[i], out[i + 1] = out[i + 1], out[i]
+    assert out[i].time != out[i + 1].time
+    return out
+
+
+def test_rejected_update_leaves_index_unchanged(citation_events):
+    ev = citation_events
+    idx = make_tgi(ev[:600], events_per_timespan=200, eventlist_size=50)
+    spans, stats_spans = idx.num_timespans, set(idx.stats.spans)
+    # the batch's first span (601, 801) is in order, the second is not
+    with pytest.raises(EventError):
+        idx.update(_swapped(ev[600:1000], 300))
+    assert idx.num_timespans == spans
+    assert set(idx.stats.spans) == stats_spans
+    idx.update(ev[600:1000])
+    assert idx.num_timespans == spans + 2
+    for t in (650, 700, 780, 900, ev[999].time):
+        assert idx.get_snapshot(t) == Graph.replay(ev, until=t)
+
+
+def test_rejected_single_span_update_leaves_no_statistics(citation_events):
+    ev = citation_events
+    idx = make_tgi(ev[:600], events_per_timespan=200, eventlist_size=50)
+    stats_spans = set(idx.stats.spans)
+    with pytest.raises(EventError):
+        idx.update(_swapped(ev[600:700], 50))
+    assert set(idx.stats.spans) == stats_spans
+    idx.update(ev[600:700])
+    assert idx.get_snapshot(ev[699].time) == Graph.replay(ev[:700])
+
+
+def test_rejected_build_can_be_retried(citation_events):
+    ev = citation_events[:600]
+    idx = TGI(TGIConfig(events_per_timespan=200, eventlist_size=50,
+                        micro_partition_size=10))
+    with pytest.raises(EventError):
+        idx.build(_swapped(ev, 450))
+    assert idx.num_timespans == 0
+    idx.build(ev)
+    assert idx.get_snapshot(500) == Graph.replay(ev, until=500)
+
+
+def _reference_step(g, events, prev):
+    """Checkpoint deltas the pre-incremental way: the whole graph."""
+    g.apply_events(events)
+    return snapshot_delta_of_graph(g)
+
+
+@pytest.mark.parametrize("replicate", [False, True])
+def test_incremental_checkpoints_store_reference_rows(monkeypatch, replicate):
+    """Every stored row — tree deltas, eventlists, version chains — is
+    byte-identical whether checkpoint deltas are stepped incrementally or
+    rebuilt from the whole graph, over builds and updates whose events
+    delete nodes with live edges, re-add them and churn attributes."""
+    events = churn_history(steps=900, seed=3)
+    batches = [events[:450], events[450:600], events[600:750], events[750:]]
+
+    def stored_rows():
+        idx = TGI(TGIConfig(
+            events_per_timespan=100, eventlist_size=20,
+            micro_partition_size=8, replicate_boundary=replicate,
+            cluster=ClusterConfig(num_machines=3),
+        ))
+        idx.build(batches[0])
+        for batch in batches[1:]:
+            idx.update(batch)
+        return [
+            (m, key, row.payload)
+            for m, machine in enumerate(idx.cluster.machines)
+            for key, row in machine.items()
+        ]
+
+    incremental = stored_rows()
+    monkeypatch.setattr(tgi_build, "advance_snapshot_delta", _reference_step)
+    assert stored_rows() == incremental
 
 
 # -- configuration degenerations ---------------------------------------------
