@@ -8,6 +8,8 @@ Table 1).  Version queries must read a whole snapshot per change point.
 from __future__ import annotations
 
 import bisect
+from itertools import groupby
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.deltas.base import Delta
@@ -41,21 +43,12 @@ class CopyIndex(HistoricalGraphIndex):
     def build(self, events: Sequence[Event]) -> None:
         g = Graph()
         delta = Delta()
-        idx = 0
-        i = 0
-        n = len(events)
-        while i < n:
-            t = events[i].time
-            j = i
-            while j < n and events[j].time == t:
-                j += 1
-            delta = advance_snapshot_delta(g, events[i:j], delta)
-            i = j
+        for idx, (t, group) in enumerate(groupby(events, key=attrgetter("time"))):
+            delta = advance_snapshot_delta(g, group, delta)
             key = (0, idx % self.placement_groups, ("S", idx), 0)
             self.cluster.put(key, delta)
             self._times.append(t)
             self._keys.append(key)
-            idx += 1
 
     def _index_at(self, t: TimePoint) -> int:
         if not self._times:
